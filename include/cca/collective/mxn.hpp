@@ -23,14 +23,19 @@
 namespace cca::collective {
 
 /// The "wire" between the ranks of two coupled parallel components.  Both
-/// component teams live in one process (threads), so the channel is a dense
+/// component teams live in one process — OS threads, fibers on a few worker
+/// threads, or explorer-controlled threads — so the channel is a dense
 /// srcRanks × dstRanks × 2 array of independent FIFO slots — one per
 /// (direction, source rank, destination rank) pair, each with its own mutex
 /// and condition variable.  A slot has exactly one producer and one consumer
 /// rank, so a push wakes its consumer with a single notify_one and never
 /// contends with traffic between any other rank pair (the previous design
 /// serialized every pair through one global lock, one std::map lookup, and a
-/// notify_all broadcast).  On a distributed machine the identical call
+/// notify_all broadcast).  Every entry point runs the same code under every
+/// scheduler: a producer raises the ChannelPut schedule point before its
+/// critical section, and a consumer on a controlled thread (a fiber, or an
+/// explored thread) parks through the controller at ChannelTake instead of
+/// on the slot's condvar.  On a distributed machine the identical call
 /// pattern would map onto inter-communicator sends.
 class CouplingChannel {
  public:
@@ -73,14 +78,7 @@ class CouplingChannel {
   /// anyway, and pack() never takes another lock or parks.
   template <class PackFn>
   void putPacked(int srcRank, int dstRank, PackFn&& pack) {
-    if (testing::controllerInstalled()) {
-      // Schedule-explored runs keep the unfused sequence so interleavings
-      // (and the ChannelPut preemption point) match the plain put() path.
-      rt::Buffer b;
-      pack(b);
-      put(srcRank, dstRank, std::move(b));
-      return;
-    }
+    testing::schedulePoint(testing::SchedOp::ChannelPut, dstRank, srcRank);
     Slot& sl = slot(0, srcRank, dstRank);
     {
       std::lock_guard lk(sl.mx);
@@ -88,9 +86,7 @@ class CouplingChannel {
       pack(sl.spare);
       sl.q.push_back(std::move(sl.spare));
     }
-    if (sl.waiting.load(std::memory_order_seq_cst) &&
-        sl.waiting.exchange(false, std::memory_order_seq_cst))
-      sl.cv.notify_one();
+    ringDoorbell(sl);
   }
 
   /// Fused consumer mirror of putPacked(): once the slot is non-empty,
@@ -100,17 +96,12 @@ class CouplingChannel {
   /// of the channel.  Timeout and blocking semantics are exactly take()'s.
   template <class UnpackFn>
   void takeUnpacked(int dstRank, int srcRank, UnpackFn&& unpack) {
-    Slot& sl = slot(0, srcRank, dstRank);
-    if (testing::onControlledThread() != nullptr) {
-      rt::Buffer b = pop(sl, 0, srcRank, dstRank);
-      unpack(b);
-      return;
-    }
-    withLockedNonEmpty(sl, 0, srcRank, dstRank, [&](Slot& s) {
-      rt::Buffer b = takeFront(s);
-      unpack(b);
-      s.spare = std::move(b);
-    });
+    withLockedNonEmpty(slot(0, srcRank, dstRank), 0, srcRank, dstRank,
+                       [&](Slot& s) {
+                         rt::Buffer b = takeFront(s);
+                         unpack(b);
+                         s.spare = std::move(b);
+                       });
   }
 
   /// Reverse direction: destination rank → source rank (pull requests,
@@ -132,9 +123,9 @@ class CouplingChannel {
     // deque chunks; the consumed prefix is compacted once it dominates.
     std::vector<rt::Buffer> q;
     std::size_t head = 0;
-    // Recycled staging buffer (see takeSpare/recycle): keeps one warm
-    // payload-sized heap block per forward slot so repeated exchanges
-    // don't churn the allocator.
+    // Recycled staging buffer (filled by putPacked, refilled by
+    // takeUnpacked): keeps one warm payload-sized heap block per forward
+    // slot so repeated exchanges don't churn the allocator.
     rt::Buffer spare;
     // True while the consumer is parked on cv.  Lets push() skip the
     // notify call entirely when nobody is waiting (the common case in a
@@ -185,6 +176,10 @@ class CouplingChannel {
       std::lock_guard lk(sl.mx);
       sl.q.push_back(std::move(b));
     }
+    ringDoorbell(sl);
+  }
+
+  static void ringDoorbell(Slot& sl) noexcept {  // after an enqueue, unlocked
     // Claim-based doorbell (cf. Mailbox::ringDoorbell): notify only when
     // the consumer is actually parked, and clear the flag so a burst of
     // puts pays one notify.  Safe because the consumer re-arms the flag
@@ -211,15 +206,41 @@ class CouplingChannel {
     return b;
   }
 
-  /// Uncontrolled-consumer wait: runs `fn(sl)` under sl.mx as soon as the
-  /// slot is non-empty.  Fast path + yield-spin: the matching put is
-  /// usually already there (or one scheduler rotation away), so check
-  /// under the slot lock a few times before paying the clock read and the
-  /// condvar park.  Honors the channel timeout like take().
+  /// Consumer wait: runs `fn(sl)` under sl.mx as soon as the slot is
+  /// non-empty, honoring the channel timeout.  The single wait loop of the
+  /// channel — take(), takeBack() and takeUnpacked() all come through here.
   template <class Fn>
   auto withLockedNonEmpty(Slot& sl, int dir, int srcRank, int dstRank,
                           Fn&& fn) {
     const auto ns = timeoutNs_.load(std::memory_order_relaxed);
+    if (auto* ctl = testing::onControlledThread()) {
+      // Controlled thread (fiber or explored): never hold the slot mutex
+      // while parked — the controller must be able to run the producer,
+      // possibly on this very OS thread — and measure bounded waits on the
+      // controller's clock (virtual under the explorer, so timeout tests
+      // cannot flake under host load).
+      std::int64_t leftNs = ns;
+      for (;;) {
+        {
+          std::lock_guard lk(sl.mx);
+          if (!slotEmpty(sl)) return fn(sl);
+        }
+        if (ns > 0 && leftNs <= 0) throw starvedError(dir, srcRank, dstRank, ns - leftNs);
+        const std::int64_t t0 = ctl->nowNs();
+        ctl->wait(
+            testing::SchedPoint{testing::SchedOp::ChannelTake,
+                                dir == 0 ? srcRank : dstRank, dir},
+            [&sl] {
+              std::lock_guard lk(sl.mx);
+              return !slotEmpty(sl);
+            },
+            ns > 0 ? leftNs : -1);
+        if (ns > 0) leftNs -= ctl->nowNs() - t0;
+      }
+    }
+    // Fast path + yield-spin: the matching put is usually already there (or
+    // one scheduler rotation away), so check under the slot lock a few
+    // times before paying the clock read and the condvar park.
     for (int i = 0;; ++i) {
       {
         std::lock_guard lk(sl.mx);
@@ -251,30 +272,6 @@ class CouplingChannel {
   }
 
   rt::Buffer pop(Slot& sl, int dir, int srcRank, int dstRank) {
-    const auto ns = timeoutNs_.load(std::memory_order_relaxed);
-    if (auto* ctl = testing::onControlledThread()) {
-      // Schedule-explored run: never hold the slot mutex while parked (the
-      // controller must be able to run the producer), and burn virtual time
-      // on bounded waits so timeout tests cannot flake under host load.
-      std::int64_t leftNs = ns;
-      for (;;) {
-        {
-          std::lock_guard lk(sl.mx);
-          if (!slotEmpty(sl)) return takeFront(sl);
-        }
-        if (ns > 0 && leftNs <= 0) throw starvedError(dir, srcRank, dstRank, ns - leftNs);
-        const std::int64_t t0 = ctl->nowNs();
-        ctl->wait(
-            testing::SchedPoint{testing::SchedOp::ChannelTake,
-                                dir == 0 ? srcRank : dstRank, dir},
-            [&sl] {
-              std::lock_guard lk(sl.mx);
-              return !slotEmpty(sl);
-            },
-            ns > 0 ? leftNs : -1);
-        if (ns > 0) leftNs -= ctl->nowNs() - t0;
-      }
-    }
     return withLockedNonEmpty(sl, dir, srcRank, dstRank,
                               [](Slot& s) { return takeFront(s); });
   }

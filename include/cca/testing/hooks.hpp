@@ -18,8 +18,10 @@
 //                        that "waits 20 ms" costs zero wall-clock and cannot
 //                        flake under host load.
 //
-// When no controller is installed — every production run, and every test
-// that does not opt in — each helper is a single relaxed atomic load and a
+// The fiber scheduler (include/cca/fiber/sched.hpp) implements the same
+// interface, so a fiber team's ranks park and wake through these hooks too.
+// When no controller is installed — thread-team runs, and every test that
+// does not opt in — each helper is a single relaxed atomic load and a
 // predicted-not-taken branch (bench_rt_transport confirms the cost is within
 // run-to-run noise; see BENCH_rt.json "sched_hooks" entry).  This header is
 // deliberately dependency-free so rt can include it without linking any
@@ -125,9 +127,11 @@ class ScheduleController {
 };
 
 namespace detail {
-/// The installed controller.  Relaxed is sufficient: installation happens
-/// before the controlled threads are spawned (thread creation synchronizes),
-/// and production code only ever observes nullptr.
+/// The installed controller: the explorer's during an explored run, and a
+/// fiber team's scheduler (cca::fiber) while an ExecKind::Fiber team runs —
+/// so production code does see non-null here.  Relaxed is sufficient:
+/// installation happens before the controlled threads are spawned (thread
+/// creation synchronizes).
 inline std::atomic<ScheduleController*> g_controller{nullptr};
 /// Set while the calling thread is registered with the controller.
 inline thread_local bool tl_registered = false;

@@ -284,6 +284,12 @@ KrylovSolverPort::currentPreconditioner(bool& checkedOut) {
   auto* bv = concreteVec(b);
   auto* xv = concreteVec(x);
   auto precPort = std::dynamic_pointer_cast<PrecondPort>(M);
+  // A connected preconditioner is the solver's to prepare: set it up
+  // against the operator being solved.  The pointer test pays the setup
+  // once per operator; a matrix rebuilt after a dt change is a new one.
+  if (checkedOut && precPort && csrOp &&
+      precPort->matrixPtr() != csrOp->matrixPtr())
+    precPort->setUp(op_);
   const bool fastPrecond = !M || (precPort && precPort->isSetUp());
   // Run the configured algorithm; without a preconditioner it gets
   // NoPreconditioner, which CG turns into z ≡ r.

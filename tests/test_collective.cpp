@@ -4,7 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
+#include <atomic>
+#include <cstring>
 #include <tuple>
 
 #include "ports_sidl.hpp"
@@ -26,34 +27,75 @@ dist::Distribution make(int kind, std::size_t n, int p) {
   }
 }
 
-/// Run a full push/pull exchange on threads and return the destination
-/// shards.
-std::vector<std::vector<double>> exchange(
-    const dist::Distribution& src, const dist::Distribution& dst,
-    MxNRedistributor<double>::CouplingMode mode =
-        MxNRedistributor<double>::CouplingMode::Staged) {
+using Mode = MxNRedistributor<double>::CouplingMode;
+/// Destination shards after each frame of an exchange, [frame][rank][li].
+using Frames = std::vector<std::vector<std::vector<double>>>;
+
+/// Run `frames` consecutive push/pull exchanges through one channel on one
+/// team of src.ranks() + dst.ranks() ranks — OS threads, or fibers on two
+/// workers — and return the destination shards after every frame.  Source
+/// element gi starts at gi and frame k adds k to it before its push, so a
+/// stale or misplaced element from an earlier frame cannot go unnoticed.
+Frames exchangeFrames(const dist::Distribution& src,
+                      const dist::Distribution& dst, Mode mode,
+                      rt::ExecKind exec, int frames) {
   auto plan = std::make_shared<const RedistSchedule>(
       RedistSchedule::build(src, dst));
   auto chan = std::make_shared<CouplingChannel>(src.ranks(), dst.ranks());
   MxNRedistributor<double> redist(chan, plan, mode);
 
-  std::vector<std::vector<double>> srcShards(src.ranks());
-  std::vector<std::vector<double>> dstShards(dst.ranks());
-  for (int r = 0; r < src.ranks(); ++r) {
-    srcShards[r].resize(src.localSize(r));
-    for (std::size_t li = 0; li < srcShards[r].size(); ++li)
-      srcShards[r][li] = static_cast<double>(src.globalIndexOf(r, li));
-  }
-  for (int r = 0; r < dst.ranks(); ++r)
-    dstShards[r].assign(dst.localSize(r), -1.0);
+  Frames out(static_cast<std::size_t>(frames),
+             std::vector<std::vector<double>>(dst.ranks()));
+  rt::RunOptions ro;
+  ro.exec = exec;
+  ro.fiberWorkers = 2;
+  rt::Comm::run(
+      src.ranks() + dst.ranks(),
+      [&](rt::Comm& c) {
+        const bool source = c.rank() < src.ranks();
+        const int r = source ? c.rank() : c.rank() - src.ranks();
+        std::vector<double> shard;
+        if (source) {
+          shard.resize(src.localSize(r));
+          for (std::size_t li = 0; li < shard.size(); ++li)
+            shard[li] = static_cast<double>(src.globalIndexOf(r, li));
+        }
+        for (int k = 0; k < frames; ++k) {
+          if (source) {
+            for (double& x : shard) x += k;
+            redist.push(r, shard);
+          } else {
+            shard.assign(dst.localSize(r), -1.0);
+            redist.pull(r, shard);
+            out[k][r] = shard;
+          }
+          // A borrowed push lends the shard until its pulls return.
+          c.barrier();
+        }
+      },
+      ro);
+  return out;
+}
 
-  std::vector<std::thread> team;
-  for (int r = 0; r < src.ranks(); ++r)
-    team.emplace_back([&, r] { redist.push(r, srcShards[r]); });
-  for (int r = 0; r < dst.ranks(); ++r)
-    team.emplace_back([&, r] { redist.pull(r, dstShards[r]); });
-  for (auto& t : team) t.join();
-  return dstShards;
+/// Run a full push/pull exchange on threads and return the destination
+/// shards.
+std::vector<std::vector<double>> exchange(const dist::Distribution& src,
+                                          const dist::Distribution& dst,
+                                          Mode mode = Mode::Staged) {
+  return exchangeFrames(src, dst, mode, rt::ExecKind::Thread, 1).back();
+}
+
+bool bitwiseEqual(const Frames& a, const Frames& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    if (a[k].size() != b[k].size()) return false;
+    for (std::size_t r = 0; r < a[k].size(); ++r)
+      if (a[k][r].size() != b[k][r].size() ||
+          std::memcmp(a[k][r].data(), b[k][r].data(),
+                      a[k][r].size() * sizeof(double)) != 0)
+        return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -178,6 +220,91 @@ INSTANTIATE_TEST_SUITE_P(Sweep, MxNBorrowedSweep,
                                             ::testing::Values(1, 2, 4),
                                             ::testing::Values(1, 3, 4)));
 
+// Fiber teams park and wake through the schedule-controller slot, so their
+// coupling takes the controlled wait in CouplingChannel while thread teams
+// take the condvar one.  Both must land the same bits, frame after frame,
+// in both modes — a staging spare recycled across frames included.
+class MxNFiberSweep
+    : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};
+
+TEST_P(MxNFiberSweep, FiberTeamMatchesThreadTeamBitwise) {
+  const auto [sk, dk, m, nr] = GetParam();
+  const std::size_t n = 143;
+  const int frames = 3;
+  const auto src = make(sk, n, m);
+  const auto dst = make(dk, n, nr);
+  for (Mode mode : {Mode::Staged, Mode::Borrowed}) {
+    const Frames threads =
+        exchangeFrames(src, dst, mode, rt::ExecKind::Thread, frames);
+    const Frames fibers =
+        exchangeFrames(src, dst, mode, rt::ExecKind::Fiber, frames);
+    EXPECT_TRUE(bitwiseEqual(threads, fibers))
+        << (mode == Mode::Staged ? "staged" : "borrowed");
+    for (int k = 0; k < frames; ++k)
+      for (int r = 0; r < nr; ++r)
+        for (std::size_t li = 0; li < threads[k][r].size(); ++li)
+          ASSERT_EQ(threads[k][r][li],
+                    static_cast<double>(dst.globalIndexOf(r, li) +
+                                        static_cast<std::size_t>(k * (k + 1) / 2)));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, MxNFiberSweep,
+                         ::testing::Combine(::testing::Values(0, 1, 2),
+                                            ::testing::Values(0, 1, 2),
+                                            ::testing::Values(1, 3, 4),
+                                            ::testing::Values(1, 3, 4)));
+
+TEST(MxN, RedistributorsSharingAChannelAlternateFrames) {
+  // Two schedules over one channel: a slot's message size changes from
+  // frame to frame (block→block cells are larger than block→cyclic ones,
+  // and some are empty), so a recycled staging spare that kept bytes from
+  // the previous frame would show as a wrong element or as pull()'s
+  // trailing-bytes error.
+  const std::size_t n = 97;
+  const auto src = dist::Distribution::block(n, 3);
+  const dist::Distribution dsts[2] = {dist::Distribution::block(n, 4),
+                                      dist::Distribution::cyclic(n, 4)};
+  auto chan = std::make_shared<CouplingChannel>(3, 4);
+  std::vector<MxNRedistributor<double>> reds;
+  for (const auto& d : dsts)
+    reds.emplace_back(chan, std::make_shared<const RedistSchedule>(
+                                RedistSchedule::build(src, d)));
+  for (rt::ExecKind exec : {rt::ExecKind::Thread, rt::ExecKind::Fiber}) {
+    std::atomic<int> wrong{0};
+    rt::RunOptions ro;
+    ro.exec = exec;
+    ro.fiberWorkers = 2;
+    rt::Comm::run(
+        7,
+        [&](rt::Comm& c) {
+          for (int k = 0; k < 6; ++k) {
+            const auto& dst = dsts[k % 2];
+            auto& red = reds[static_cast<std::size_t>(k % 2)];
+            if (c.rank() < 3) {
+              std::vector<double> shard(src.localSize(c.rank()));
+              for (std::size_t li = 0; li < shard.size(); ++li)
+                shard[li] = static_cast<double>(src.globalIndexOf(c.rank(), li)) +
+                            1000.0 * k;
+              red.push(c.rank(), shard);
+            } else {
+              const int r = c.rank() - 3;
+              std::vector<double> shard(dst.localSize(r), -1.0);
+              red.pull(r, shard);
+              for (std::size_t li = 0; li < shard.size(); ++li)
+                if (shard[li] != static_cast<double>(dst.globalIndexOf(r, li)) +
+                                     1000.0 * k)
+                  ++wrong;
+            }
+            c.barrier();
+          }
+        },
+        ro);
+    EXPECT_EQ(wrong.load(), 0)
+        << (exec == rt::ExecKind::Fiber ? "fiber team" : "thread team");
+  }
+}
+
 TEST(MxN, BorrowedZeroElementExchangeCompletes) {
   const auto shards =
       exchange(dist::Distribution::block(0, 3), dist::Distribution::cyclic(0, 2),
@@ -297,6 +424,23 @@ TEST(CouplingChannelTest, FifoPerDirection) {
   chan.putBack(0, 0, std::move(c));
   rt::Buffer back = chan.takeBack(0, 0);
   EXPECT_EQ(rt::unpack<int>(back), 3);
+}
+
+TEST(CouplingChannelTest, RecycledSpareStartsEmpty) {
+  // takeUnpacked parks the consumed buffer as the slot's staging spare;
+  // the next putPacked must see it empty, whatever size came before.
+  CouplingChannel chan(1, 1);
+  for (int n : {5, 1, 3, 0, 4}) {
+    chan.putPacked(0, 0, [n](rt::Buffer& b) {
+      EXPECT_EQ(b.size(), 0u);
+      for (int i = 0; i < n; ++i) rt::pack(b, 10 * n + i);
+    });
+    chan.takeUnpacked(0, 0, [n](rt::Buffer& b) {
+      EXPECT_EQ(b.readPos(), 0u);
+      ASSERT_EQ(b.remaining(), n * sizeof(int));
+      for (int i = 0; i < n; ++i) EXPECT_EQ(rt::unpack<int>(b), 10 * n + i);
+    });
+  }
 }
 
 TEST(CouplingChannelTest, BadRankCountsRejected) {

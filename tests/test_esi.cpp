@@ -7,18 +7,21 @@
 
 #include <cmath>
 #include <cstring>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
 
 #include "esi_sidl.hpp"
+#include "ports_sidl.hpp"
 
 #include "cca/core/framework.hpp"
 #include "cca/esi/components.hpp"
 #include "cca/esi/csr_matrix.hpp"
 #include "cca/esi/krylov.hpp"
 #include "cca/esi/preconditioner.hpp"
+#include "cca/hydro/components.hpp"
 #include "cca/testing/prop.hpp"
 
 using namespace cca;
@@ -205,8 +208,10 @@ TEST(PropCsrMatrix, ApplyAndGetLocalMatchDenseReference) {
 // Preconditioners
 // ---------------------------------------------------------------------------
 
+// The kind is a std::string, not a const char*: gtest prints a char pointer
+// with its address, which would put a per-run address into the test name.
 class PrecondSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(PrecondSweep, ApplyIsLinearAndNonTrivial) {
   const auto [kind, p] = GetParam();
@@ -232,7 +237,10 @@ TEST_P(PrecondSweep, ApplyIsLinearAndNonTrivial) {
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, PrecondSweep,
-    ::testing::Combine(::testing::Values("identity", "jacobi", "sor", "ilu0"),
+    ::testing::Combine(::testing::Values(std::string("identity"),
+                                         std::string("jacobi"),
+                                         std::string("sor"),
+                                         std::string("ilu0")),
                        ::testing::Values(1, 2, 4)));
 
 TEST(Preconditioners, JacobiIsExactForDiagonalMatrix) {
@@ -303,6 +311,12 @@ struct SolveSetup {
   const char* precond;  // preconditioner kind
   int ranks;
 };
+
+// Names the case by value, e.g. "(cg, jacobi, 1)"; the default printer dumps
+// the struct's bytes, pointer addresses included, which change from run to run.
+void PrintTo(const SolveSetup& s, std::ostream* os) {
+  *os << "(" << s.algo << ", " << s.precond << ", " << s.ranks << ")";
+}
 
 SolveReport runSolve(const SolveSetup& s, const CsrMatrix& A,
                      const dist::DistVector<double>& b,
@@ -647,12 +661,17 @@ TEST(EsiComponents, FrameworkComposedSolverPullsConnectedPreconditioner) {
     auto x = std::make_shared<comp::DistVectorPort>(c, A->rowDistribution());
     std::shared_ptr<::sidlx::esi::Vector> xi = x;
 
-    // First attempt: the connected preconditioner was never setUp — the
-    // error must surface through the solve.
-    EXPECT_THROW(solver->solve(b, xi), cca::sidl::PreconditionException);
+    // The connected preconditioner was never set up by the assembly: the
+    // solver sets it up against the operator it is solving.
+    auto precPort = std::dynamic_pointer_cast<comp::PrecondPort>(
+        fw.providedPort(precId, "preconditioner"));
+    ASSERT_NE(precPort, nullptr);
+    EXPECT_FALSE(precPort->isSetUp());
+    EXPECT_EQ(solver->solve(b, xi), ::sidlx::esi::SolveStatus::CONVERGED);
+    EXPECT_EQ(precPort->matrixPtr(), A);
 
-    // Supply a prepared preconditioner through the explicit hook and retry
-    // (the connected-port setup path is exercised by the integration tests).
+    // An explicitly supplied preconditioner takes precedence over the port.
+    x->fill(0.0);
     auto explicitPrec = std::make_shared<comp::PrecondPort>("ilu0");
     std::shared_ptr<::sidlx::esi::Operator> opIface = opPort;
     explicitPrec->setUp(opIface);
@@ -662,6 +681,50 @@ TEST(EsiComponents, FrameworkComposedSolverPullsConnectedPreconditioner) {
     EXPECT_EQ(status, ::sidlx::esi::SolveStatus::CONVERGED);
     EXPECT_GT(solver->iterationCount(), 0);
   });
+}
+
+TEST(EsiComponents, ConnectedJacobiFollowsTheOperatorAcrossDtChange) {
+  // The Fig. 1 heat→solver→preconditioner chain with nothing but ports
+  // connected: the solver sets the Jacobi preconditioner up on the first
+  // step and again for the matrix rebuilt when dt changes.
+  for (int p : {1, 2}) {
+    rt::Comm::run(p, [](rt::Comm& c) {
+      core::Framework fw;
+      hydro::comp::registerHydroComponents(fw, c, mesh::Mesh1D(64, 0.0, 1.0));
+      comp::registerEsiComponents(fw);
+      core::BuilderService builder(fw);
+      builder.create("heat", "hydro.SemiImplicit");
+      builder.create("solver", "esi.CgSolver");
+      builder.create("precond", "esi.JacobiPrecond");
+      builder.connect("heat", "linsolver", "solver", "solver");
+      builder.connect("solver", "preconditioner", "precond", "preconditioner");
+
+      const auto heatId = fw.lookupInstance("heat");
+      auto ts = std::dynamic_pointer_cast<::sidlx::hydro::TimeStepPort>(
+          fw.providedPort(heatId, "timestep"));
+      auto precPort = std::dynamic_pointer_cast<comp::PrecondPort>(
+          fw.providedPort(fw.lookupInstance("precond"), "preconditioner"));
+      ASSERT_NE(ts, nullptr);
+      ASSERT_NE(precPort, nullptr);
+      auto& model = *std::dynamic_pointer_cast<hydro::comp::SemiImplicitComponent>(
+                         fw.instanceObject(heatId))
+                         ->model();
+      const double h0 = model.totalHeat();
+
+      // One step; returns the matrix the preconditioner was set up against.
+      auto step = [&](double dt) {
+        ts->step(dt);  // throws unless the solve converged
+        EXPECT_GT(model.lastIterationCount(), 0);
+        EXPECT_NEAR(model.totalHeat(), h0, 1e-9);
+        EXPECT_TRUE(precPort->isSetUp());
+        return precPort->matrixPtr();
+      };
+      const auto first = step(1e-3);
+      EXPECT_EQ(step(1e-3), first);  // same operator: no new setup
+      EXPECT_NE(step(4e-3), first);  // dt changed: rebuilt matrix
+      EXPECT_EQ(ts->stepsTaken(), 3);
+    });
+  }
 }
 
 TEST(EsiComponents, SolverSwapChangesAlgorithmNotAnswer) {

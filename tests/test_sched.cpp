@@ -350,6 +350,88 @@ TEST(Sched, CouplingChannelHandoffUnderExploration) {
   }
 }
 
+TEST(Sched, PackedCouplingHandoffUnderExploration) {
+  // The fused entry points run the same schedule points and the same
+  // controlled wait as put()/take(): ChannelPut before the producer's
+  // critical section, a ChannelTake park (on the virtual clock) for the
+  // consumer.
+  auto run = [&](std::uint64_t seed, std::chrono::nanoseconds producerDelay,
+                 bool expectTimeout) {
+    auto ch = std::make_shared<cca::collective::CouplingChannel>(1, 1);
+    ch->setTimeout(50ms);
+    ct::ExploreOptions opts;
+    opts.ranks = 2;
+    opts.seed = seed;
+    opts.maxRuns = 1;
+    std::vector<std::function<void()>> bodies = {
+        [ch, producerDelay] {
+          ct::sleepFor(producerDelay);
+          ch->putPacked(0, 0, [](cca::rt::Buffer& b) {
+            const int v = 99;
+            b.writeBytes(&v, sizeof v);
+          });
+        },
+        [ch, expectTimeout] {
+          try {
+            int v = 0;
+            ch->takeUnpacked(0, 0, [&v](cca::rt::Buffer& b) {
+              b.readBytes(&v, sizeof v);
+            });
+            ct::require(v == 99, "channel payload");
+            ct::require(!expectTimeout, "takeUnpacked should have timed out");
+          } catch (const CommError& e) {
+            ct::require(expectTimeout &&
+                            e.kind() == CommErrorKind::Timeout,
+                        std::string("unexpected channel error: ") + e.what());
+          }
+        },
+    };
+    return ct::exploreThreads(opts, bodies);
+  };
+  for (std::uint64_t seed = 1; seed <= 15; ++seed) {
+    ct::ExploreResult ok = run(seed, 10ms, /*expectTimeout=*/false);
+    EXPECT_FALSE(ok.failed) << "seed " << seed << ": " << ok.failure.what;
+    ct::ExploreResult late = run(seed, 200ms, /*expectTimeout=*/true);
+    EXPECT_FALSE(late.failed) << "seed " << seed << ": " << late.failure.what;
+  }
+}
+
+TEST(Sched, MxNRedistributorBlockToCyclicUnderExploration) {
+  // A 2×2 block→cyclic staged exchange over two frames, ranks 0-1 the
+  // source team and 2-3 the destination team: every explored interleaving
+  // lands every element, and the second frame packs into the staging
+  // spares the first frame's pulls recycled.
+  const std::size_t n = 10;
+  const auto src = cca::dist::Distribution::block(n, 2);
+  const auto dst = cca::dist::Distribution::cyclic(n, 2);
+  auto plan = std::make_shared<const cca::collective::RedistSchedule>(
+      cca::collective::RedistSchedule::build(src, dst));
+  for (std::uint64_t seed = 1; seed <= 15; ++seed) {
+    // One channel per run: the body runs once per controlled run.
+    cca::collective::MxNRedistributor<double> red(
+        std::make_shared<cca::collective::CouplingChannel>(2, 2), plan);
+    ct::RunOutcome out = ct::runControlled(4, seed, [&](Comm& c) {
+      for (int k = 0; k < 2; ++k) {
+        if (c.rank() < 2) {
+          std::vector<double> shard(src.localSize(c.rank()));
+          for (std::size_t li = 0; li < shard.size(); ++li)
+            shard[li] = static_cast<double>(src.globalIndexOf(c.rank(), li) + 100 * k);
+          red.push(c.rank(), shard);
+        } else {
+          const int r = c.rank() - 2;
+          std::vector<double> shard(dst.localSize(r), -1.0);
+          red.pull(r, shard);
+          for (std::size_t li = 0; li < shard.size(); ++li)
+            ct::require(shard[li] == static_cast<double>(dst.globalIndexOf(r, li) + 100 * k),
+                        "element landed at the wrong place");
+        }
+        c.barrier();
+      }
+    });
+    EXPECT_FALSE(out.failed) << "seed " << seed << ": " << out.what;
+  }
+}
+
 namespace {
 /// Invocable that fails the first `failures` calls, then echoes arg 0.
 class FlakyTarget final : public cca::sidl::reflect::Invocable {
